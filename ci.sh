@@ -17,6 +17,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> map first-insert race regression (concurrent first puts of one key: one entry)"
+timeout 300 cargo test -q --release -p dss-core --test map_first_insert_race
+
+echo "==> writeback regression (concurrent line flushes never roll back a flushed word)"
+timeout 120 cargo test -q --release -p dss-pmem --lib \
+    pool::tests::concurrent_line_flushes_never_roll_back_a_flushed_word
+timeout 300 cargo test -q --release -p dss-core --test crash_after_node_recycling
+
 echo "==> fig5a smoke (both backends, minimal sizes)"
 cargo run -q -p dss-harness --release --bin fig5a -- \
     --threads 1 --ms 20 --repeats 1 \
@@ -62,9 +70,12 @@ timeout 300 cargo run -q -p dss-harness --release --bin crash_matrix -- \
 timeout 300 cargo run -q -p dss-harness --release --bin crash_matrix -- \
     --replicated on --partial-recovery on >/dev/null
 
-echo "==> map smoke (crash matrix on the detectable hash map, per-key checked histories)"
-timeout 300 cargo run -q -p dss-harness --release --bin crash_matrix -- \
-    --layer map >/dev/null
+echo "==> map smoke (E4 rows diff clean against results/crash_matrix_map.txt)"
+# Only the sweep rows are compared: the checked-histories epilogue below
+# them records multi-threaded runs whose window counts vary run to run.
+map_rows=$(timeout 300 cargo run -q -p dss-harness --release --bin crash_matrix -- --layer map)
+diff <(sed '/^# checked histories/,$d' <<<"$map_rows") \
+    <(sed '/^# checked histories/,$d' results/crash_matrix_map.txt)
 timeout 300 cargo run -q -p dss-harness --release --bin crash_matrix -- \
     --layer map --partial-recovery on >/dev/null
 

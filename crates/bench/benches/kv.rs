@@ -86,6 +86,10 @@ fn main() {
                     duration: Duration::from_millis(ms),
                     repeats,
                     keyspace: keys,
+                    // Every key holds an entry and a value node; the
+                    // default per-thread slack rides on top.
+                    nodes_per_thread: keys.div_ceil(threads as u64)
+                        + KvMixConfig::default().nodes_per_thread,
                     buckets: (keys / 4).next_power_of_two().max(16),
                     flush_penalty: penalty,
                     read_fraction,

@@ -28,6 +28,24 @@
 //! Like the register and CAS object, the map recovers *independently*
 //! (§3.3): no recovery phase exists — [`resolve`](DetectableMap::resolve)
 //! answers from persisted state alone.
+//!
+//! **Reclamation** costs O(1) per write and keeps no per-thread side
+//! lists. Ownership lives in the structure itself:
+//!
+//! * the thread whose CAS swings an entry's `vptr` off a value node
+//!   retires that node to EBR on the spot — exactly one CAS can unlink a
+//!   given node, so it is retired exactly once;
+//! * a node that is never linked (a remove of an absent key, a prepared
+//!   write replaced by the next prep without an exec) is retired by its
+//!   owner when it becomes dead;
+//! * allocation never recycles a node some `X` word still names, so
+//!   `resolve` can dereference `X` however long ago its write was
+//!   superseded — such a node waits in limbo until `X` moves on (the
+//!   queue's `x_referenced_nodes` guard);
+//! * a crash discards EBR state, so
+//!   [`rebuild_allocator`](DetectableMap::rebuild_allocator) re-retires
+//!   the `X`-named nodes that are dead but whose retirement the crash
+//!   erased.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,16 +165,20 @@ pub struct DetectableMap<M: Memory = PmemPool> {
     /// The shared detectability skeleton: pool, registry, EBR, backoff,
     /// and the per-thread `X` words (see [`DetectableCore`]).
     core: DetectableCore<M>,
+    /// Entry and value nodes. Entry nodes are immortal; a value node is
+    /// retired by the write that unlinks it (or by its owner, if it was
+    /// never linked) and is not recycled while an `X` word names it.
     nodes: NodePool,
     buckets_base: u64,
     ext_base: u64,
     buckets0: u64,
-    /// Per-thread value nodes this thread created that are awaiting
-    /// retirement. A node may be retired once it is neither its key's
-    /// current binding nor referenced by the owner's `X` entry; only the
-    /// owner ever retires its nodes, so `resolve` can always dereference
-    /// `X` safely.
-    pending: Box<[std::sync::Mutex<Vec<PAddr>>]>,
+}
+
+/// A missed walk's link point: the newest level's bucket and its head.
+struct Miss {
+    nlevels: u64,
+    bucket: PAddr,
+    head: u64,
 }
 
 impl DetectableMap {
@@ -305,7 +327,6 @@ impl<M: Memory> DetectableMap<M> {
             buckets_base: layout.buckets_base,
             ext_base: layout.ext_base,
             buckets0,
-            pending: (0..nthreads).map(|_| std::sync::Mutex::new(Vec::new())).collect(),
         }
     }
 
@@ -457,90 +478,64 @@ impl<M: Memory> DetectableMap<M> {
 
     // --- chain walks ----------------------------------------------------
 
-    /// The entry node bound to `key`, if the key ever appeared. Entries
-    /// are unique per key across levels: an insert checks every level
-    /// before creating one, and creation races re-walk on CAS failure.
-    fn find_entry(&self, key: u64) -> Option<PAddr> {
-        let n = self.nlevels();
-        for k in 0..n {
-            let mut e = tag::addr_of(self.core.pool.load(self.bucket_addr(k, key)));
+    /// The entry node bound to `key`, or where a fresh entry must be
+    /// linked. Entries are unique per key: an insert links against the
+    /// newest level's head *as this walk observed it*, so a same-key insert
+    /// landing after the walk fails that CAS and forces a re-walk.
+    fn find_entry(&self, key: u64) -> Result<PAddr, Miss> {
+        let nlevels = self.nlevels();
+        let (mut bucket, mut head) = (PAddr::NULL, 0);
+        for k in 0..nlevels {
+            bucket = self.bucket_addr(k, key);
+            head = self.core.pool.load(bucket);
+            let mut e = tag::addr_of(head);
             while !e.is_null() {
                 if self.core.pool.load(e.offset(E_KEY)) == key {
-                    return Some(e);
+                    return Ok(e);
                 }
                 e = tag::addr_of(self.core.pool.load(e.offset(E_NEXT)));
             }
         }
-        None
+        Err(Miss { nlevels, bucket, head })
     }
 
-    /// Uninstrumented twin of [`find_entry`](Self::find_entry) for sweeps
-    /// and snapshots, so they don't perturb counted experiments.
-    fn find_entry_peek(&self, key: u64) -> Option<PAddr> {
-        let n = self.nlevels();
-        for k in 0..n {
-            let mut e = tag::addr_of(self.core.pool.peek(self.bucket_addr(k, key)));
-            while !e.is_null() {
-                if self.core.pool.peek(e.offset(E_KEY)) == key {
-                    return Some(e);
-                }
-                e = tag::addr_of(self.core.pool.peek(e.offset(E_NEXT)));
-            }
-        }
-        None
+    /// Whether value node `vn` is `key`'s current binding.
+    fn is_bound(&self, key: u64, vn: PAddr) -> bool {
+        self.find_entry(key).is_ok_and(|en| self.core.pool.load(en.offset(E_VPTR)) == vn.to_word())
     }
 
     // --- allocation and reclamation -------------------------------------
 
+    /// The nodes the `X` words name, which `resolve` dereferences however
+    /// long ago their writes were superseded. Read with `peek`: the guard
+    /// runs inside allocation and must not shift crash-point indices.
+    fn x_named_nodes(&self) -> Vec<PAddr> {
+        (0..self.core.nthreads)
+            .map(|i| tag::addr_of(self.core.pool.peek(self.x_addr(i))))
+            .filter(|d| !d.is_null())
+            .collect()
+    }
+
+    /// Allocates a node, recycling retired nodes through EBR when the free
+    /// lists run dry — except nodes an `X` word still names, which stay in
+    /// limbo until the word moves on.
     fn alloc(&self, tid: usize) -> PAddr {
         self.nodes
-            .alloc_with_reclaim(tid, &self.core.ebr)
+            .alloc_with_reclaim_guarded(tid, &self.core.ebr, || self.x_named_nodes())
             .unwrap_or_else(|| panic!("map node pool exhausted (size it for the workload)"))
-    }
-
-    /// Retires the caller's past value nodes that are no longer their
-    /// key's current binding (nor the caller's `X` node); called from the
-    /// prep/plain paths so retirement needs no extra API.
-    fn sweep_pending(&self, tid: usize) {
-        let mut pending = self.pending[tid].lock().unwrap_or_else(|e| e.into_inner());
-        let x = tag::addr_of(self.core.pool.peek(self.x_addr(tid)));
-        pending.retain(|&p| {
-            if p == x {
-                return true;
-            }
-            let key = self.core.pool.peek(p.offset(V_KEY));
-            let current = self
-                .find_entry_peek(key)
-                .is_some_and(|en| self.core.pool.peek(en.offset(E_VPTR)) == p.to_word());
-            if current {
-                true
-            } else {
-                self.core.ebr.retire(tid, p);
-                false
-            }
-        });
-    }
-
-    fn push_pending(&self, tid: usize, node: PAddr) {
-        self.pending[tid].lock().unwrap_or_else(|e| e.into_inner()).push(node);
     }
 
     /// Allocates and persists a value node; the announce (or plain
     /// install) must not persist ahead of it.
     fn init_value_node(&self, tid: usize, key: u64, value: u64, seq: u64, flags: u64) -> PAddr {
         let node = self.alloc(tid);
-        self.core.pool.store(node.offset(V_KEY), key);
-        self.core.pool.store(node.offset(V_VALUE), value);
-        self.core.pool.store(node.offset(V_SEQ), seq);
-        self.core.pool.store(node.offset(V_FLAGS), flags);
+        let fields = [(V_KEY, key), (V_VALUE, value), (V_SEQ, seq), (V_FLAGS, flags)];
+        for (f, w) in fields {
+            self.core.pool.store(node.offset(f), w);
+        }
         // Every field word, not just the node base: under word-granular
         // flushing the fields are separate flush units.
-        self.core.pool.persist_batch(&[
-            node.offset(V_KEY),
-            node.offset(V_VALUE),
-            node.offset(V_SEQ),
-            node.offset(V_FLAGS),
-        ]);
+        self.core.pool.persist_batch(&fields.map(|(f, _)| node.offset(f)));
         node
     }
 
@@ -569,16 +564,23 @@ impl<M: Memory> DetectableMap<M> {
 
     fn prep_write(&self, h: ThreadHandle, key: u64, val: u64, seq: u64, flags: u64) {
         let tid = h.slot();
-        self.sweep_pending(tid);
-        let old = tag::addr_of(self.core.pool.load(self.x_addr(tid)));
+        let old = self.core.pool.peek(self.x_addr(tid));
+        // A prepared write that never executed was never linked, so this
+        // prep, which moves X off its node, retires it — decided while X
+        // still guards the node. (An exec that crashed after its install
+        // CAS leaves X incomplete but the node linked. The binding is read
+        // before the flag: an unlink follows its SUPERSEDED mark.)
+        let orphan = tag::has(old, M_PREP) && !tag::has(old, M_COMPL) && {
+            let vn = tag::addr_of(old);
+            let key = self.core.pool.peek(vn.offset(V_KEY));
+            !self.is_bound(key, vn)
+                && self.core.pool.peek(vn.offset(V_FLAGS)) & FLAG_SUPERSEDED == 0
+        };
         let node = self.init_value_node(tid, key, val, pack(tid, seq), flags);
         // Announce + the durable-before-return drain (DetectableCore).
         self.core.announce(tid, tag::set(node.to_word(), M_PREP));
-        // The previous announcement node is no longer referenced by
-        // X[tid]; it becomes retirable once it also stops being its key's
-        // current binding.
-        if !old.is_null() {
-            self.push_pending(tid, old);
+        if orphan {
+            self.core.ebr.retire(tid, tag::addr_of(old));
         }
     }
 
@@ -592,21 +594,7 @@ impl<M: Memory> DetectableMap<M> {
     /// Panics if no put is prepared for `tid` (or it already executed —
     /// Axiom 2's precondition `R[pᵢ] = ⊥`).
     pub fn exec_put(&self, h: ThreadHandle) -> KvResp {
-        let tid = h.slot();
-        let _g = self.core.pin(tid);
-        let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa);
-        assert!(
-            tag::has(x, M_PREP) && !tag::has(x, M_COMPL),
-            "exec-put without a pending prepared operation (X[{tid}] = {x:#x})"
-        );
-        let vn = tag::addr_of(x);
-        assert!(
-            self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0,
-            "exec-put after prep-remove (use exec_remove)"
-        );
-        self.install(tid, x, vn, true);
-        KvResp::Ok
+        self.exec_write(h, false)
     }
 
     /// **exec-remove()**: installs the prepared tombstone into the key's
@@ -617,106 +605,112 @@ impl<M: Memory> DetectableMap<M> {
     ///
     /// Panics if no remove is prepared for `tid` (or it already executed).
     pub fn exec_remove(&self, h: ThreadHandle) -> KvResp {
+        self.exec_write(h, true)
+    }
+
+    fn exec_write(&self, h: ThreadHandle, remove: bool) -> KvResp {
         let tid = h.slot();
         let _g = self.core.pin(tid);
-        let xa = self.x_addr(tid);
-        let x = self.core.pool.load(xa);
+        let x = self.core.pool.load(self.x_addr(tid));
+        let name = if remove { "exec-remove" } else { "exec-put" };
         assert!(
             tag::has(x, M_PREP) && !tag::has(x, M_COMPL),
-            "exec-remove without a pending prepared operation (X[{tid}] = {x:#x})"
+            "{name} without a pending prepared operation (X[{tid}] = {x:#x})"
         );
         let vn = tag::addr_of(x);
-        assert!(
-            self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0,
-            "exec-remove after prep-put (use exec_put)"
-        );
-        self.install(tid, x, vn, false);
+        let tombstone = self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0;
+        let prepared = if tombstone { "remove" } else { "put" };
+        assert_eq!(tombstone, remove, "{name} of a prepared {prepared}");
+        let key = self.core.pool.load(vn.offset(V_KEY));
+        self.install(tid, key, vn, tombstone, Some(x));
         KvResp::Ok
     }
 
-    /// The shared install machine: binds the announced value node `vn` to
-    /// its key. `create_entry` distinguishes put (a fresh key gains an
-    /// entry) from remove (an absent key needs no chain surgery — the
-    /// remove takes effect trivially).
-    fn install(&self, tid: usize, x: u64, vn: PAddr, create_entry: bool) {
-        let xa = self.x_addr(tid);
-        let key = self.core.pool.load(vn.offset(V_KEY));
+    /// The one install machine behind every write: binds value node `vn`
+    /// to `key`, either by swinging the key's entry or by linking a fresh
+    /// entry seeded with `vn`. `x` is the announced `X` word of a
+    /// detectable write — its completion is marked once the install is
+    /// durable — and `None` for a plain write, which never touches `X`
+    /// (Axiom 4). A remove of an absent key takes effect trivially.
+    fn install(&self, tid: usize, key: u64, vn: PAddr, tombstone: bool, x: Option<u64>) {
         let mut bo = self.new_backoff();
         loop {
-            match self.find_entry(key) {
-                Some(en) => {
-                    let eva = en.offset(E_VPTR);
-                    let old_w = self.core.pool.load(eva);
-                    let old = tag::addr_of(old_w);
-                    // Mark the incumbent superseded *before* replacing it:
-                    // its owner must be able to prove installation even
-                    // after we win. (Preserve its TOMBSTONE bit.)
-                    let fl = self.core.pool.load(old.offset(V_FLAGS));
-                    self.core.pool.store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
-                    self.core.pool.flush(old.offset(V_FLAGS));
-                    // The announce and the incumbent's superseded mark
-                    // must be persistent before the install can take
-                    // effect — resolve proves installation through either.
-                    self.core.pool.drain_lines(&[old.offset(V_FLAGS), xa]);
-                    if self.core.pool.cas(eva, old_w, vn.to_word()).is_ok() {
-                        self.core.pool.flush(eva);
-                        // Ordering point: the completion mark must not
-                        // persist ahead of the install it certifies.
-                        self.core.pool.drain_line(eva);
-                        self.core.complete(tid, tag::set(x, M_COMPL));
-                        self.core.pool.drain();
-                        return;
+            let linked = match self.find_entry(key) {
+                Ok(en) => self.swing(tid, en, vn),
+                Err(_) if tombstone => {
+                    // Only the completion mark to persist. The node is never
+                    // linked: free it, or retire it behind the X guard.
+                    match x {
+                        Some(x) => {
+                            self.core.complete(tid, tag::set(x, M_COMPL));
+                            self.core.pool.drain();
+                            self.core.ebr.retire(tid, vn);
+                        }
+                        None => self.nodes.free(tid, vn),
                     }
-                }
-                None if !create_entry => {
-                    // Removing an absent key: effect is trivial, nothing
-                    // to persist but the completion mark.
-                    self.core.complete(tid, tag::set(x, M_COMPL));
-                    self.core.pool.drain();
                     return;
                 }
-                None => {
-                    // First write to this key: prepend an entry (seeded
-                    // with vn) to the newest level's bucket chain. The
-                    // entry must be fully persistent before its link can
-                    // take effect — a chain must never pass through an
-                    // unwritten node.
-                    let level = self.nlevels() - 1;
-                    let ba = self.bucket_addr(level, key);
-                    let en = self.alloc(tid);
-                    self.core.pool.store(en.offset(E_KEY), key);
-                    self.core.pool.store(en.offset(E_VPTR), vn.to_word());
-                    let head_w = self.core.pool.load(ba);
-                    self.core.pool.store(en.offset(E_NEXT), head_w);
-                    // Every field word (they are separate units under
-                    // word-granular flushing); the entry and the announce
-                    // must be persistent before the prepend can take
-                    // effect.
-                    self.core.pool.flush(en.offset(E_KEY));
-                    self.core.pool.flush(en.offset(E_VPTR));
-                    self.core.pool.flush(en.offset(E_NEXT));
-                    self.core.pool.drain_lines(&[
-                        en.offset(E_KEY),
-                        en.offset(E_VPTR),
-                        en.offset(E_NEXT),
-                        xa,
-                    ]);
-                    if self.core.pool.cas(ba, head_w, en.to_word()).is_ok() {
-                        self.core.pool.flush(ba);
-                        // Ordering point: completion behind the prepend.
-                        self.core.pool.drain_line(ba);
-                        self.core.complete(tid, tag::set(x, M_COMPL));
-                        self.core.pool.drain();
-                        return;
-                    }
-                    // Lost the prepend race (possibly to this very key's
-                    // first writer): the entry was never exposed, so free
-                    // it directly and re-walk.
-                    self.nodes.free(tid, en);
+                Err(miss) => self.prepend(tid, key, vn, miss),
+            };
+            if let Some(word) = linked {
+                self.core.pool.flush(word);
+                if let Some(x) = x {
+                    // Ordering point: the completion mark must not
+                    // persist ahead of the install it certifies.
+                    self.core.pool.drain_line(word);
+                    self.core.complete(tid, tag::set(x, M_COMPL));
                 }
+                self.core.pool.drain();
+                return;
             }
             bo.spin();
         }
+    }
+
+    /// Swings entry `en` from its current value node to `vn`; returns the
+    /// swung word, or `None` if another write won. The incumbent is marked
+    /// superseded, persisted, *before* the CAS — its owner must be able to
+    /// prove installation even after it is replaced — and the winner of
+    /// the CAS, the one write that unlinks it, retires it.
+    fn swing(&self, tid: usize, en: PAddr, vn: PAddr) -> Option<PAddr> {
+        let eva = en.offset(E_VPTR);
+        let old_w = self.core.pool.load(eva);
+        let old = tag::addr_of(old_w);
+        // Preserve the incumbent's TOMBSTONE bit.
+        let fl = self.core.pool.load(old.offset(V_FLAGS));
+        self.core.pool.store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
+        self.core.pool.flush(old.offset(V_FLAGS));
+        // The superseded mark must be persistent before the install can
+        // take effect; a detectable write's announce already is (prep
+        // drains it before returning).
+        self.core.pool.drain_line(old.offset(V_FLAGS));
+        self.core.pool.cas(eva, old_w, vn.to_word()).ok()?;
+        self.core.ebr.retire(tid, old);
+        Some(eva)
+    }
+
+    /// Links a fresh entry seeded with `vn` at the head the walk observed
+    /// in the newest level; returns the bucket word, or `None` to re-walk
+    /// (a level was added, or the head moved — possibly this very key's
+    /// first insert by another thread).
+    fn prepend(&self, tid: usize, key: u64, vn: PAddr, miss: Miss) -> Option<PAddr> {
+        if self.nlevels() != miss.nlevels {
+            return None;
+        }
+        let en = self.alloc(tid);
+        let fields = [(E_KEY, key), (E_VPTR, vn.to_word()), (E_NEXT, miss.head)];
+        for (f, w) in fields {
+            self.core.pool.store(en.offset(f), w);
+        }
+        // A chain must never pass through an unwritten node: the entry is
+        // persistent before its link can take effect.
+        self.core.pool.persist_batch(&fields.map(|(f, _)| en.offset(f)));
+        if self.core.pool.cas(miss.bucket, miss.head, en.to_word()).is_ok() {
+            return Some(miss.bucket);
+        }
+        // The entry was never exposed: free it directly.
+        self.nodes.free(tid, en);
+        None
     }
 
     // --- plain operations (Axiom 4) -------------------------------------
@@ -728,7 +722,7 @@ impl<M: Memory> DetectableMap<M> {
     ///
     /// Panics if the node pool is exhausted.
     pub fn put(&self, h: ThreadHandle, key: u64, val: u64) -> KvResp {
-        self.plain_write(h, key, val, 0)
+        self.plain_write(h, key, val, false)
     }
 
     /// Non-detectable **remove(key)** (Axiom 4).
@@ -737,72 +731,26 @@ impl<M: Memory> DetectableMap<M> {
     ///
     /// Panics if the node pool is exhausted.
     pub fn remove(&self, h: ThreadHandle, key: u64) -> KvResp {
-        self.plain_write(h, key, 0, FLAG_TOMBSTONE)
+        self.plain_write(h, key, 0, true)
     }
 
-    fn plain_write(&self, h: ThreadHandle, key: u64, val: u64, flags: u64) -> KvResp {
+    fn plain_write(&self, h: ThreadHandle, key: u64, val: u64, tombstone: bool) -> KvResp {
         let tid = h.slot();
-        let _g = self.core.pin(tid);
-        self.sweep_pending(tid);
+        let flags = if tombstone { FLAG_TOMBSTONE } else { 0 };
+        // Allocate before pinning: a pinned thread holds back the epoch
+        // its own reclamation waits for.
         let vn = self.init_value_node(tid, key, val, u64::MAX, flags);
-        let mut bo = self.new_backoff();
-        loop {
-            match self.find_entry(key) {
-                Some(en) => {
-                    let eva = en.offset(E_VPTR);
-                    let old_w = self.core.pool.load(eva);
-                    let old = tag::addr_of(old_w);
-                    let fl = self.core.pool.load(old.offset(V_FLAGS));
-                    self.core.pool.store(old.offset(V_FLAGS), fl | FLAG_SUPERSEDED);
-                    self.core.pool.flush(old.offset(V_FLAGS));
-                    self.core.pool.drain_line(old.offset(V_FLAGS));
-                    if self.core.pool.cas(eva, old_w, vn.to_word()).is_ok() {
-                        self.core.pool.flush(eva);
-                        self.core.pool.drain();
-                        // X never references a plain write's node, so it
-                        // joins the owner's pending list right away.
-                        self.push_pending(tid, vn);
-                        return KvResp::Ok;
-                    }
-                }
-                None if flags & FLAG_TOMBSTONE != 0 => {
-                    // Removing an absent key: trivial effect; the node was
-                    // never exposed.
-                    self.nodes.free(tid, vn);
-                    return KvResp::Ok;
-                }
-                None => {
-                    let level = self.nlevels() - 1;
-                    let ba = self.bucket_addr(level, key);
-                    let en = self.alloc(tid);
-                    self.core.pool.store(en.offset(E_KEY), key);
-                    self.core.pool.store(en.offset(E_VPTR), vn.to_word());
-                    let head_w = self.core.pool.load(ba);
-                    self.core.pool.store(en.offset(E_NEXT), head_w);
-                    self.core.pool.persist_batch(&[
-                        en.offset(E_KEY),
-                        en.offset(E_VPTR),
-                        en.offset(E_NEXT),
-                    ]);
-                    if self.core.pool.cas(ba, head_w, en.to_word()).is_ok() {
-                        self.core.pool.flush(ba);
-                        self.core.pool.drain();
-                        self.push_pending(tid, vn);
-                        return KvResp::Ok;
-                    }
-                    self.nodes.free(tid, en);
-                }
-            }
-            bo.spin();
-        }
+        let _g = self.core.pin(tid);
+        self.install(tid, key, vn, tombstone, None);
+        KvResp::Ok
     }
 
     /// **get(key)** (plain): the key's current value, or `Absent`.
     pub fn get(&self, h: ThreadHandle, key: u64) -> KvResp {
         let _g = self.core.pin(h.slot());
         match self.find_entry(key) {
-            None => KvResp::Absent,
-            Some(en) => {
+            Err(_) => KvResp::Absent,
+            Ok(en) => {
                 let vn = tag::addr_of(self.core.pool.load(en.offset(E_VPTR)));
                 if self.core.pool.load(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE != 0 {
                     KvResp::Absent
@@ -836,11 +784,8 @@ impl<M: Memory> DetectableMap<M> {
         } else {
             KvOp::Put(self.core.pool.load(vn.offset(V_VALUE)))
         };
-        let effective = tag::has(x, M_COMPL)
-            || flags & FLAG_SUPERSEDED != 0
-            || self
-                .find_entry(key)
-                .is_some_and(|en| self.core.pool.load(en.offset(E_VPTR)) == vn.to_word());
+        let effective =
+            tag::has(x, M_COMPL) || flags & FLAG_SUPERSEDED != 0 || self.is_bound(key, vn);
         ResolvedMap {
             op: Some((key, op, seq)),
             resp: if effective { Some(KvResp::Ok) } else { None },
@@ -851,60 +796,63 @@ impl<M: Memory> DetectableMap<M> {
 
     /// Rebuilds the volatile allocator after a crash: every reachable
     /// entry node, every entry's current value node, and every
-    /// `X`-referenced node stay allocated.
+    /// `X`-named node stay allocated.
+    ///
+    /// The crash discarded EBR state, and with it the retirement of any
+    /// `X`-named node that was already dead: one a later write unlinked
+    /// (its `SUPERSEDED` flag is persisted before the unlink) or a
+    /// completed remove of an absent key. Those are retired again here,
+    /// and the `X` guard frees them once `X` moves on. An unexecuted
+    /// prep's node is left to its owner's next prep.
     pub fn rebuild_allocator(&self) {
         let mut live: Vec<PAddr> = Vec::new();
-        let n = self.nlevels();
-        for k in 0..n {
+        self.for_each_entry(|e, v| live.extend([e, v]));
+        let mut dead = Vec::new();
+        for i in 0..self.core.nthreads {
+            let x = self.core.pool.peek(self.x_addr(i));
+            let d = tag::addr_of(x);
+            if d.is_null() {
+                continue;
+            }
+            let superseded = self.core.pool.peek(d.offset(V_FLAGS)) & FLAG_SUPERSEDED != 0;
+            if (tag::has(x, M_COMPL) || superseded) && !live.contains(&d) {
+                dead.push((i, d));
+            }
+            live.push(d);
+        }
+        self.nodes.rebuild(live);
+        self.core.ebr.reset();
+        for (i, d) in dead {
+            self.core.ebr.retire(i, d);
+        }
+    }
+
+    /// Calls `f` with every entry node and its current value node, walked
+    /// with `peek` so rebuilds and snapshots don't perturb counted
+    /// experiments.
+    fn for_each_entry(&self, mut f: impl FnMut(PAddr, PAddr)) {
+        for k in 0..self.nlevels() {
             for b in 0..self.level_buckets(k) {
                 let head = PAddr::from_index(self.level_base(k) + b);
                 let mut e = tag::addr_of(self.core.pool.peek(head));
                 while !e.is_null() {
-                    live.push(e);
-                    let v = tag::addr_of(self.core.pool.peek(e.offset(E_VPTR)));
-                    if !v.is_null() {
-                        live.push(v);
-                    }
+                    f(e, tag::addr_of(self.core.pool.peek(e.offset(E_VPTR))));
                     e = tag::addr_of(self.core.pool.peek(e.offset(E_NEXT)));
                 }
             }
-        }
-        for i in 0..self.core.nthreads {
-            let d = tag::addr_of(self.core.pool.peek(self.x_addr(i)));
-            if !d.is_null() {
-                live.push(d);
-            }
-        }
-        self.nodes.rebuild(live);
-        self.core.ebr.reset();
-        for p in self.pending.iter() {
-            p.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
     }
 
     /// The map's current contents (uninstrumented), for conservation
     /// checks and debugging.
     pub fn snapshot(&self) -> BTreeMap<u64, u64> {
+        let peek = |a: PAddr| self.core.pool.peek(a);
         let mut out = BTreeMap::new();
-        let n = self.nlevels();
-        for k in 0..n {
-            for b in 0..self.level_buckets(k) {
-                let head = PAddr::from_index(self.level_base(k) + b);
-                let mut e = tag::addr_of(self.core.pool.peek(head));
-                while !e.is_null() {
-                    let vn = tag::addr_of(self.core.pool.peek(e.offset(E_VPTR)));
-                    if !vn.is_null()
-                        && self.core.pool.peek(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0
-                    {
-                        out.insert(
-                            self.core.pool.peek(e.offset(E_KEY)),
-                            self.core.pool.peek(vn.offset(V_VALUE)),
-                        );
-                    }
-                    e = tag::addr_of(self.core.pool.peek(e.offset(E_NEXT)));
-                }
+        self.for_each_entry(|e, vn| {
+            if peek(vn.offset(V_FLAGS)) & FLAG_TOMBSTONE == 0 {
+                out.insert(peek(e.offset(E_KEY)), peek(vn.offset(V_VALUE)));
             }
-        }
+        });
         out
     }
 }
@@ -928,7 +876,6 @@ mod tests {
     use super::*;
     use dss_pmem::WritebackAdversary;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Arc;
 
     fn run_crash_at<F: FnOnce()>(m: &DetectableMap, k: u64, f: F) -> bool {
         m.pool().arm_crash_after(k);
@@ -939,6 +886,27 @@ mod tests {
             Err(p) if p.downcast_ref::<dss_pmem::CrashSignal>().is_some() => true,
             Err(p) => std::panic::resume_unwind(p),
         }
+    }
+
+    /// Every node is in exactly one place: a free list, EBR limbo, a chain,
+    /// or named only by an `X` word (an unexecuted prep). A node in two
+    /// places is a double retirement; a node in none is a leak.
+    fn assert_conserved(m: &DetectableMap, when: &str) {
+        let limbo = m.core.ebr.limbo_nodes();
+        let mut chained = Vec::new();
+        m.for_each_entry(|e, v| chained.extend([e, v]));
+        let named_only: Vec<PAddr> = m
+            .x_named_nodes()
+            .into_iter()
+            .filter(|d| !limbo.contains(d) && !chained.contains(d))
+            .collect();
+        let mut all = m.nodes.free_nodes();
+        all.extend(limbo.iter().chain(&chained).chain(&named_only));
+        all.sort();
+        let placed = all.len();
+        all.dedup();
+        assert_eq!(all.len(), placed, "{when}: a node is in two places");
+        assert_eq!(placed as u64, m.nodes.total_nodes(), "{when}: a node leaked");
     }
 
     #[test]
@@ -1047,109 +1015,66 @@ mod tests {
         m.exec_put(h); // Axiom 2: R[pᵢ] ≠ ⊥
     }
 
-    #[test]
-    fn crash_sweep_put_fresh_key() {
-        // prep-put(1, 10); exec-put() on an empty map, crashing at every
-        // pmem-op index under three writeback adversaries: resolve must
-        // agree with what a get observes.
-        for adv in [
-            WritebackAdversary::None,
-            WritebackAdversary::All,
-            WritebackAdversary::Random { seed: 5, prob: 0.5 },
-        ] {
+    /// A detectable put of `val` to `key`, or a remove if `val` is `None`.
+    fn dwrite(m: &DetectableMap, h: ThreadHandle, key: u64, val: Option<u64>, seq: u64) {
+        match val {
+            Some(v) => m.prep_put(h, key, v, seq),
+            None => m.prep_remove(h, key, seq),
+        }
+        m.exec_write(h, val.is_none());
+    }
+
+    /// Crashes a detectable write of `key` (a put of `new`, or a remove if
+    /// `new` is `None`) at every pmem-op index under each adversary, on a
+    /// map whose key is bound to `old` beforehand: `resolve` must agree
+    /// with what a get observes, and no node may leak or double up.
+    fn crash_sweep(old: Option<u64>, new: Option<u64>, adversaries: &[WritebackAdversary]) {
+        let (key, seq) = (6, 4);
+        let want_op = new.map_or(KvOp::Remove, KvOp::Put);
+        let read = |v: Option<u64>| v.map_or(KvResp::Absent, KvResp::Value);
+        for adv in adversaries {
             for k in 1..80 {
                 let m = DetectableMap::new(1, 8, 8);
                 let h = m.register_thread().unwrap();
-                let crashed = run_crash_at(&m, k, || {
-                    m.prep_put(h, 1, 10, 9);
-                    m.exec_put(h);
-                });
-                if !crashed {
+                if let Some(v) = old {
+                    m.put(h, key, v);
+                }
+                if !run_crash_at(&m, k, || dwrite(&m, h, key, new, seq)) {
                     break;
                 }
-                m.pool().crash(&adv);
+                m.pool().crash(adv);
                 m.rebuild_allocator();
-                let now = m.get(h, 1);
+                assert_conserved(&m, &format!("k={k} {adv:?}"));
+                let now = m.get(h, key);
                 match m.resolve(h) {
                     ResolvedMap { op: None, resp: None } => {
-                        assert_eq!(now, KvResp::Absent, "k={k} {adv:?}")
+                        assert_eq!(now, read(old), "k={k} {adv:?}: not prepared")
                     }
-                    ResolvedMap { op: Some((1, KvOp::Put(10), 9)), resp: Some(KvResp::Ok) } => {
-                        assert_eq!(now, KvResp::Value(10), "k={k} {adv:?}: effect persisted")
-                    }
-                    ResolvedMap { op: Some((1, KvOp::Put(10), 9)), resp: None } => {
-                        assert_eq!(now, KvResp::Absent, "k={k} {adv:?}: no effect")
+                    ResolvedMap { op: Some((6, op, 4)), resp } if op == want_op => {
+                        let expect = if resp.is_some() { read(new) } else { read(old) };
+                        assert_eq!(now, expect, "k={k} {adv:?}: resolved {resp:?}");
                     }
                     other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
                 }
             }
         }
+    }
+
+    #[test]
+    fn crash_sweep_put_fresh_key() {
+        let random = WritebackAdversary::Random { seed: 5, prob: 0.5 };
+        crash_sweep(None, Some(10), &[WritebackAdversary::None, WritebackAdversary::All, random]);
     }
 
     #[test]
     fn crash_sweep_update_existing_key() {
-        for adv in [WritebackAdversary::None, WritebackAdversary::All] {
-            for k in 1..80 {
-                let m = DetectableMap::new(1, 8, 8);
-                let h = m.register_thread().unwrap();
-                m.put(h, 2, 20);
-                let crashed = run_crash_at(&m, k, || {
-                    m.prep_put(h, 2, 21, 3);
-                    m.exec_put(h);
-                });
-                if !crashed {
-                    break;
-                }
-                m.pool().crash(&adv);
-                m.rebuild_allocator();
-                let now = m.get(h, 2);
-                match m.resolve(h) {
-                    ResolvedMap { op: None, resp: None } => {
-                        assert_eq!(now, KvResp::Value(20), "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((2, KvOp::Put(21), 3)), resp: Some(KvResp::Ok) } => {
-                        assert_eq!(now, KvResp::Value(21), "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((2, KvOp::Put(21), 3)), resp: None } => {
-                        assert_eq!(now, KvResp::Value(20), "k={k} {adv:?}")
-                    }
-                    other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
-                }
-            }
-        }
+        crash_sweep(Some(20), Some(21), &[WritebackAdversary::None, WritebackAdversary::All]);
     }
 
     #[test]
     fn crash_sweep_remove() {
-        for adv in [WritebackAdversary::None, WritebackAdversary::All] {
-            for k in 1..80 {
-                let m = DetectableMap::new(1, 8, 8);
-                let h = m.register_thread().unwrap();
-                m.put(h, 6, 60);
-                let crashed = run_crash_at(&m, k, || {
-                    m.prep_remove(h, 6, 4);
-                    m.exec_remove(h);
-                });
-                if !crashed {
-                    break;
-                }
-                m.pool().crash(&adv);
-                m.rebuild_allocator();
-                let now = m.get(h, 6);
-                match m.resolve(h) {
-                    ResolvedMap { op: None, resp: None } => {
-                        assert_eq!(now, KvResp::Value(60), "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((6, KvOp::Remove, 4)), resp: Some(KvResp::Ok) } => {
-                        assert_eq!(now, KvResp::Absent, "k={k} {adv:?}")
-                    }
-                    ResolvedMap { op: Some((6, KvOp::Remove, 4)), resp: None } => {
-                        assert_eq!(now, KvResp::Value(60), "k={k} {adv:?}")
-                    }
-                    other => panic!("k={k} {adv:?}: impossible resolution {other:?}"),
-                }
-            }
-        }
+        crash_sweep(Some(60), None, &[WritebackAdversary::None, WritebackAdversary::All]);
+        crash_sweep(None, None, &[WritebackAdversary::None, WritebackAdversary::All]);
     }
 
     #[test]
@@ -1205,24 +1130,18 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_writers_conserve_all_bindings() {
-        let m = Arc::new(DetectableMap::new(4, 256, 8));
+        let m = DetectableMap::new(4, 256, 8);
         let hs: Vec<_> = (0..4).map(|_| m.register_thread().unwrap()).collect();
-        let handles: Vec<_> = (0..4)
-            .map(|tid| {
-                let m = Arc::clone(&m);
-                let h = hs[tid];
-                std::thread::spawn(move || {
-                    let base = (tid as u64) << 32;
+        std::thread::scope(|s| {
+            for (tid, &h) in hs.iter().enumerate() {
+                let m = &m;
+                s.spawn(move || {
                     for i in 0..100 {
-                        m.prep_put(h, base | (i % 10), i, i);
-                        m.exec_put(h);
+                        dwrite(m, h, (tid as u64) << 32 | (i % 10), Some(i), i);
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         let snap = m.snapshot();
         for tid in 0..4u64 {
             for key in 0..10u64 {
@@ -1233,27 +1152,23 @@ mod tests {
         for &h in &hs {
             assert_eq!(m.resolve(h).resp, Some(KvResp::Ok));
         }
+        assert_conserved(&m, "after the writers joined");
     }
 
     #[test]
     fn concurrent_same_key_last_value_is_someones() {
-        let m = Arc::new(DetectableMap::new(4, 512, 8));
+        let m = DetectableMap::new(4, 512, 8);
         let hs: Vec<_> = (0..4).map(|_| m.register_thread().unwrap()).collect();
-        let handles: Vec<_> = (0..4)
-            .map(|tid| {
-                let m = Arc::clone(&m);
-                let h = hs[tid];
-                std::thread::spawn(move || {
+        std::thread::scope(|s| {
+            for (tid, &h) in hs.iter().enumerate() {
+                let m = &m;
+                s.spawn(move || {
                     for i in 0..200 {
-                        m.prep_put(h, 42, ((tid as u64) << 16) | i, i);
-                        m.exec_put(h);
+                        dwrite(m, h, 42, Some((tid as u64) << 16 | i), i);
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         let v = match m.get(hs[0], 42) {
             KvResp::Value(v) => v,
             other => panic!("key must be bound, got {other:?}"),
@@ -1262,6 +1177,7 @@ mod tests {
         for &h in &hs {
             assert_eq!(m.resolve(h).resp, Some(KvResp::Ok));
         }
+        assert_conserved(&m, "after the writers joined");
     }
 
     #[test]
@@ -1324,15 +1240,90 @@ mod tests {
         let m = DetectableMap::new(1, 8, 4);
         let h = m.register_thread().unwrap();
         for i in 0..10_000 {
-            m.prep_put(h, i % 3, i, i);
-            m.exec_put(h);
+            dwrite(&m, h, i % 3, Some(i), i);
         }
         for k in 0..3 {
-            let expect = (9999 / 3) * 3 + k - if k > 0 { 3 } else { 0 };
-            // last i with i % 3 == k among 0..10_000
-            let last = (0..10_000u64).rev().find(|i| i % 3 == k).unwrap();
-            let _ = expect;
-            assert_eq!(m.get(h, k), KvResp::Value(last), "key {k}");
+            assert_eq!(m.get(h, k), KvResp::Value(9_999 - (9_999 - k) % 3), "key {k}");
         }
+        assert_conserved(&m, "after 10k updates");
+    }
+
+    #[test]
+    fn x_guard_keeps_a_superseded_node_resolvable() {
+        // h1's overwrites retire h0's node at once; 32 nodes in all, so
+        // EBR recycles every other node hundreds of times. h0's X still
+        // names the node, so it must never be handed out again.
+        let m = DetectableMap::new(2, 8, 4);
+        let (h0, h1) = (m.register_thread().unwrap(), m.register_thread().unwrap());
+        dwrite(&m, h0, 5, Some(50), 1);
+        for i in 0..10_000 {
+            m.put(h1, 5, i);
+        }
+        let want = ResolvedMap { op: Some((5, KvOp::Put(50), 1)), resp: Some(KvResp::Ok) };
+        assert_eq!(m.resolve(h0), want);
+        assert_conserved(&m, "after 10k overwrites");
+    }
+
+    #[test]
+    fn nodes_are_conserved_under_churn_and_crashes() {
+        // Overwrites, removes of absent keys, preps replaced without an
+        // exec, and crash-and-rebuild cycles on a 64-node pool; after each
+        // step nodes are conserved and the map matches a shadow.
+        let m = DetectableMap::new(2, 16, 4);
+        let hs = [m.register_thread().unwrap(), m.register_thread().unwrap()];
+        let mut shadow = BTreeMap::new();
+        let mut r = 0x9e37_79b9_7f4a_7c15u64;
+        for seq in 0..4_000u64 {
+            r ^= r << 13; // xorshift64
+            r ^= r >> 7;
+            r ^= r << 17;
+            let (h, key, op) = (hs[(r & 1) as usize], (r >> 1) % 6, (r >> 8) % 4);
+            // A put of `seq`, or a remove (the key is often absent).
+            let val = (r >> 16 & 1 == 0).then_some(seq);
+            let took_effect = match op {
+                0 => val.map_or_else(|| m.remove(h, key), |v| m.put(h, key, v)) == KvResp::Ok,
+                1 => {
+                    dwrite(&m, h, key, val, seq);
+                    true
+                }
+                2 => {
+                    // Never executed: the next prep of h replaces it.
+                    m.prep_put(h, key, seq, seq);
+                    false
+                }
+                _ => {
+                    if run_crash_at(&m, 1 + (r >> 20) % 24, || dwrite(&m, h, key, val, seq)) {
+                        m.pool().crash(&WritebackAdversary::Random { seed: r, prob: 0.5 });
+                        m.rebuild_allocator();
+                    }
+                    let done = m.resolve(h);
+                    done.resp.is_some() && done.op.is_some_and(|o| o.2 == seq)
+                }
+            };
+            match val {
+                Some(v) if took_effect => shadow.insert(key, v),
+                None if took_effect => shadow.remove(&key),
+                _ => None,
+            };
+            assert_conserved(&m, &format!("step {seq} (op {op})"));
+            assert_eq!(m.snapshot(), shadow, "step {seq} (op {op})");
+        }
+    }
+
+    #[test]
+    fn four_thousand_keys_sustain_a_hundred_thousand_updates() {
+        // A pool sized for 4096 keys (an entry and a binding each) plus 128
+        // nodes of slack: updates recycle superseded bindings in O(1).
+        let keys = 4096;
+        let m = DetectableMap::new(1, keys + 64, 256);
+        let h = m.register_thread().unwrap();
+        for k in 0..keys {
+            m.put(h, k, k);
+        }
+        for i in 0..100_000u64 {
+            dwrite(&m, h, i.wrapping_mul(2_654_435_761) % keys, Some(i), i);
+        }
+        assert_eq!(m.snapshot().len(), keys as usize);
+        assert_conserved(&m, "after 100k updates");
     }
 }

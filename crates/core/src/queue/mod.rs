@@ -482,9 +482,21 @@ impl<M: Memory> DssQueue<M> {
     /// lists run dry — except nodes `resolve` can still reach through a
     /// detectability word ([`x_referenced_nodes`](Self::x_referenced_nodes)),
     /// which stay in limbo until the word moves on.
+    ///
+    /// Before any retired node is recycled, the head is persisted. The
+    /// dequeue path never flushes it (Figure 4: recovery recomputes the
+    /// head from the persisted one), so the persisted head can still name
+    /// a node dequeued long ago; recycling that node would let recovery
+    /// walk from its new position and drop every item before it. Every
+    /// candidate was unlinked before it was retired, so the head persisted
+    /// here is past all of them.
     pub(crate) fn alloc_node(&self, tid: usize) -> Result<PAddr, QueueFull> {
         self.nodes
-            .alloc_with_reclaim_guarded(tid, &self.core.ebr, || self.x_referenced_nodes())
+            .alloc_with_reclaim_guarded(tid, &self.core.ebr, || {
+                self.core.pool.flush(self.head_addr());
+                self.core.pool.drain_line(self.head_addr());
+                self.x_referenced_nodes()
+            })
             .ok_or(QueueFull)
     }
 

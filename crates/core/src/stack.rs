@@ -335,9 +335,19 @@ impl<M: Memory> DssStack<M> {
             .collect()
     }
 
+    /// Allocates a node, recycling retired nodes through EBR — but first
+    /// persists `top`. Pops never flush it, so the persisted top can name
+    /// a node popped long ago; recycled into a prepared push, that node
+    /// would make recovery resurrect the push. Every candidate was
+    /// unlinked before it was retired, so the top persisted here is past
+    /// all of them.
     fn alloc(&self, tid: usize) -> Result<PAddr, StackFull> {
         self.nodes
-            .alloc_with_reclaim_guarded(tid, &self.core.ebr, || self.x_referenced_nodes())
+            .alloc_with_reclaim_guarded(tid, &self.core.ebr, || {
+                self.core.pool.flush(self.top_addr());
+                self.core.pool.drain_line(self.top_addr());
+                self.x_referenced_nodes()
+            })
             .ok_or(StackFull)
     }
 

@@ -1,15 +1,24 @@
+//! Regression test: concurrent first inserts of one key must create one
+//! entry node.
+//!
+//! An insert walks the key's chains, then links a fresh entry at the
+//! newest level's bucket head. If the link CAS compared against a head
+//! re-read after the walk, a same-key insert landing between the walk and
+//! the re-read went unseen and the key gained a second entry: a later
+//! update reaches only the newest entry, and `snapshot()`, which walks the
+//! whole chain, lets the stale duplicate overwrite the fresh value.
+//!
+//! Run it under real parallelism and on one CPU (`taskset -c 0`).
+
 use dss_core::DetectableMap;
 use dss_spec::types::KvResp;
 use std::sync::{Arc, Barrier};
 
 // Race threads on the FIRST insert of the same key, sliding their start
-// offsets so one thread's find_entry(None) -> load(bucket head) window
-// straddles another thread's successful prepend of the same key. If the
-// map can create duplicate entry nodes for one key, a later update only
-// reaches the first (newest) entry; snapshot() walks the whole chain and
-// the stale duplicate overwrites the fresh value in the BTreeMap.
+// offsets so one thread's walk straddles another thread's successful
+// prepend of the same key.
 #[test]
-fn first_insert_race_creates_duplicate_entries() {
+fn first_insert_race_creates_no_duplicate_entries() {
     let nthreads = 4usize;
     for round in 0..30_000u64 {
         let m = Arc::new(DetectableMap::new(nthreads, 64, 4));
@@ -25,8 +34,8 @@ fn first_insert_race_creates_duplicate_entries() {
                     bar.wait();
                     // Slide each thread's start by a round- and tid-
                     // dependent number of spins to scan interleavings.
-                    let spins = (round.wrapping_mul(2654435761).wrapping_add(tid as u64 * 977))
-                        % 2000;
+                    let spins =
+                        (round.wrapping_mul(2654435761).wrapping_add(tid as u64 * 977)) % 2000;
                     for _ in 0..spins {
                         std::hint::spin_loop();
                     }

@@ -17,6 +17,14 @@ use crate::sync::Mutex;
 
 use crate::{Ebr, PAddr};
 
+/// Reclamation rounds [`NodePool::alloc_with_reclaim_guarded`] spends
+/// yielding before it needs retired nodes in limbo to keep waiting.
+const RECLAIM_YIELDS: u32 = 64;
+
+/// How long [`NodePool::alloc_with_reclaim_guarded`] waits at most for a
+/// pinned thread to release retired nodes.
+const RECLAIM_PATIENCE: std::time::Duration = std::time::Duration::from_secs(1);
+
 /// A region of persistent memory carved into fixed-size nodes, with
 /// per-thread free lists.
 ///
@@ -125,8 +133,11 @@ impl NodePool {
     /// reclamation when the free lists run dry: collect every node `ebr`
     /// has quiesced, return it to the free lists, and try again, yielding
     /// between rounds (another thread may hold the missing nodes pinned
-    /// until it passes through an unpinned state). Returns `None` after the
-    /// retry budget is exhausted — the region is genuinely over-committed.
+    /// until it passes through an unpinned state). After 64 rounds it keeps
+    /// waiting, sleeping between rounds, only while retired nodes sit in
+    /// limbo — they are held back by a thread pinned in an older epoch,
+    /// which may be descheduled for a whole time slice — and for at most a
+    /// second. Returns `None` when the region is genuinely over-committed.
     ///
     /// This is the one retry-through-EBR dance every structure in the
     /// workspace shares; callers map `None` onto their own full-pool error.
@@ -166,7 +177,8 @@ impl NodePool {
         if let Some(a) = self.alloc(tid) {
             return Some(a);
         }
-        for _ in 0..64 {
+        let start = std::time::Instant::now();
+        for round in 0.. {
             let collected = ebr.collect_all(tid);
             if !collected.is_empty() {
                 let guard: std::collections::HashSet<PAddr> = protected().into_iter().collect();
@@ -181,9 +193,15 @@ impl NodePool {
             if let Some(a) = self.alloc(tid) {
                 return Some(a);
             }
-            std::thread::yield_now();
+            if round < RECLAIM_YIELDS {
+                std::thread::yield_now();
+            } else if ebr.limbo_len() > 0 && start.elapsed() < RECLAIM_PATIENCE {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            } else {
+                return None;
+            }
         }
-        None
+        unreachable!("the reclamation loop only exits by returning")
     }
 
     /// Returns `addr` to thread `tid`'s free list.
@@ -201,6 +219,12 @@ impl NodePool {
     /// Number of currently free nodes (approximate under concurrency).
     pub fn free_count(&self) -> u64 {
         self.free.iter().map(|l| l.lock().len() as u64).sum()
+    }
+
+    /// The currently free nodes, across every thread's list (a snapshot,
+    /// for conservation checks; approximate under concurrency).
+    pub fn free_nodes(&self) -> Vec<PAddr> {
+        self.free.iter().flat_map(|l| l.lock().clone()).collect()
     }
 
     /// Rebuilds the free lists after a crash: every node *not* in `live`

@@ -188,6 +188,15 @@ impl Ebr {
         self.slots.iter().map(|s| s.limbo.lock().len()).sum()
     }
 
+    /// The nodes awaiting reclamation across all threads (a snapshot, for
+    /// conservation checks).
+    pub fn limbo_nodes(&self) -> Vec<PAddr> {
+        self.slots
+            .iter()
+            .flat_map(|s| s.limbo.lock().iter().map(|&(_, a)| a).collect::<Vec<_>>())
+            .collect()
+    }
+
     /// Takes over slot `tid` from a thread that will never unpin it.
     ///
     /// A thread that vanishes (crash, partial restart) while pinned leaves

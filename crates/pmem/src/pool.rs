@@ -936,22 +936,41 @@ impl PmemPool {
         });
     }
 
+    /// Persists one word, monotonically: once a flush returns, no
+    /// concurrent writeback leaves the word's persisted value older than
+    /// the flushed one at any quiescent point.
     fn writeback(&self, w: &Word, index: u64) {
-        // Snapshot-then-store: a racing store may or may not be included,
-        // which is exactly the latitude real hardware has for a value
-        // written after the flush began. Equal values skip the stores —
-        // storing an identical persisted value is a no-op, and this keeps
-        // whole-line flushes cheap (most words of a line are clean). On a
-        // file-backed pool the persisted shadow writes through to the pool
-        // file: reaching the persistence domain IS reaching the file.
-        let v = w.volatile.load(SeqCst);
-        if w.persisted.load(SeqCst) != v {
-            w.persisted.store(v, SeqCst);
-            if let SegmentBacking::File(fb) = &self.backing {
-                fb.write_word(index, v);
+        let mut retried = false;
+        loop {
+            // The dirty bit is cleared *before* the snapshot: a store
+            // landing after the snapshot re-marks the word dirty, so no
+            // word is left clean with an unpersisted value (which a
+            // coalesced flush would then absorb as clean).
+            w.dirty.store(false, SeqCst);
+            // Snapshot-then-store: a racing store may or may not be
+            // included, which is exactly the latitude real hardware has
+            // for a value written after the flush began. Equal values skip
+            // the stores — most words of a flushed line are clean. On a
+            // file-backed pool the persisted shadow writes through to the
+            // pool file: reaching the persistence domain IS reaching the
+            // file.
+            let v = w.volatile.load(SeqCst);
+            if retried || w.persisted.load(SeqCst) != v {
+                w.persisted.store(v, SeqCst);
+                if let SegmentBacking::File(fb) = &self.backing {
+                    fb.write_word(index, v);
+                }
             }
+            // A writeback of another word of this line may have taken its
+            // snapshot of this word before a newer store-and-flush, and
+            // stored it after. Whichever writeback stores last sees here
+            // that its snapshot is no longer the word's value and stores
+            // again, so the last store always carries a current value.
+            if w.volatile.load(SeqCst) == v {
+                return;
+            }
+            retried = true;
         }
-        w.dirty.store(false, SeqCst);
     }
 
     /// Simulates a system-wide crash: volatile state reverts to the
@@ -1870,5 +1889,44 @@ mod tests {
         }
         let total: u64 = (0..64).map(|i| p.load(addr(far + i))).sum();
         assert_eq!(total, 2000);
+    }
+
+    #[test]
+    fn concurrent_line_flushes_never_roll_back_a_flushed_word() {
+        // Two threads store and flush their own word of one line. Each
+        // flush writes back the whole line, including the other thread's
+        // word; a writeback that snapshotted that word before the owner's
+        // store-and-flush must not leave its older snapshot persisted. A
+        // stale value seen right after a flush is rechecked once the other
+        // thread is between flushes — a quiescent point for the line.
+        const ROUNDS: u64 = 500_000;
+        let p = PmemPool::with_capacity(64);
+        let busy = [AtomicBool::new(false), AtomicBool::new(false)];
+        let stale = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for me in 0..2 {
+                let (p, busy, stale) = (&p, &busy, &stale);
+                s.spawn(move || {
+                    let own = addr(8 + me as u64);
+                    for i in 1..=ROUNDS {
+                        busy[me].store(true, SeqCst);
+                        p.store(own, i);
+                        p.flush(own);
+                        busy[me].store(false, SeqCst);
+                        if p.persisted_value(own) < i {
+                            while busy[1 - me].load(SeqCst) {
+                                std::hint::spin_loop();
+                            }
+                            if p.persisted_value(own) < i {
+                                stale.fetch_add(1, Relaxed);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(stale.into_inner(), 0, "flushed values rolled back by a concurrent flush");
+        assert_eq!(p.persisted_value(addr(8)), ROUNDS);
+        assert_eq!(p.persisted_value(addr(9)), ROUNDS);
     }
 }

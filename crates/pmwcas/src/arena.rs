@@ -202,16 +202,30 @@ impl<M: Memory> PmwcasArena<M> {
                 match self.pool.cas(addr, expected, desc_ptr) {
                     Ok(_) => {
                         // Re-validate: without RDCSS a helper can install
-                        // into a descriptor that was *just* decided and
-                        // finalized — nobody would ever clean that pointer
-                        // up. Undo the late install and stop.
-                        if self.pool.load(desc.offset(D_STATUS)) != ST_UNDECIDED {
+                        // into a descriptor that was already decided.
+                        // SUCCEEDED: the decider saw every entry reserved,
+                        // so this reservation was counted and must stay
+                        // for the finalizer to roll forward (undoing it
+                        // would commit the other entries without this
+                        // one). FAILED: roll back — the finalizer may have
+                        // passed this word. FREE: a late install over a
+                        // value that returned to `expected` after the
+                        // release; restore it. (This relies on no entry
+                        // being a no-op and no word returning to an
+                        // entry's `expected` value before the descriptor
+                        // is released — true of every word the
+                        // CASWithEffect queues update.)
+                        let status = self.pool.load(desc.offset(D_STATUS));
+                        if status != ST_UNDECIDED && status != ST_SUCCEEDED {
                             let _ = self.pool.cas(addr, desc_ptr, expected);
                             break 'entries;
                         }
                         self.pool.flush(addr);
                         reserved[nreserved] = addr;
                         nreserved += 1;
+                        if status == ST_SUCCEEDED {
+                            break 'entries;
+                        }
                         continue 'entries;
                     }
                     Err(cur) if cur == desc_ptr => continue 'entries, // a helper did it
